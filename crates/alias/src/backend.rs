@@ -1,22 +1,23 @@
-//! Pluggable alias backends: how a finished typing walk becomes the
-//! immutable [`FrozenLocs`] view the flow-sensitive checker consumes.
+//! Alias backends: how a finished typing walk becomes the immutable
+//! [`FrozenLocs`] view the flow-sensitive checker consumes.
 //!
-//! The pipeline's seam is the *freeze* step. The Steensgaard typing walk
-//! ([`crate::steensgaard`]) always runs — it is what assigns every
-//! expression its analysis type and what the effect system and
-//! `restrict`/`confine` outcomes are computed against. A backend decides
-//! only how the final location table is *snapshotted* for the checker:
+//! The Steensgaard typing walk ([`crate::steensgaard`]) always runs — it
+//! is what assigns every expression its analysis type and what the
+//! effect system and `restrict`/`confine` outcomes are computed against.
+//! A [`Backend`] decides only how the final location table is
+//! *snapshotted* for the checker:
 //!
-//! * [`SteensgaardBackend`] captures the table verbatim
+//! * [`Backend::Steensgaard`] captures the table verbatim
 //!   ([`crate::loc::LocTable::freeze`]) — the paper's configuration, and
-//!   byte-identical to the historical pipeline.
-//! * [`AndersenBackend`] additionally runs the inclusion-based points-to
-//!   analysis ([`crate::andersen`]) and uses its directional flow facts
-//!   to *split* unification classes that the checker consults, where the
-//!   split is provably invisible to every query the checker can make
-//!   (see the refinement rules below). This realises the paper's §8
+//!   the only one the §7 sweep uses.
+//! * [`Backend::Andersen`] additionally runs the inclusion-based
+//!   points-to analysis ([`crate::andersen`]) and uses its directional
+//!   flow facts to *split* unification classes that the checker consults,
+//!   where the split is provably invisible to every query the checker can
+//!   make ([`refine`]; see the rules below). This realises the paper's §8
 //!   conjecture — "restrict checking can also be combined with more
-//!   precise alias analyses" — without re-deriving the effect system.
+//!   precise alias analyses" — without re-deriving the effect system. The
+//!   differential fuzzer compares the two backends module by module.
 //!
 //! ## The refinement's soundness argument
 //!
@@ -45,7 +46,6 @@ use crate::ty::{locs_of, Ty};
 use localias_ast::visit::{walk_expr, walk_module, Visitor};
 use localias_ast::{Expr, ExprKind, Module, NodeId};
 use localias_obs as obs;
-use std::fmt;
 
 /// Which alias backend produces the frozen location view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -58,25 +58,10 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// All selectable backends, in CLI/display order.
+    /// Every backend, in display order.
     pub const ALL: [Backend; 2] = [Backend::Steensgaard, Backend::Andersen];
 
-    /// Parses a CLI backend name. The error lists the valid names.
-    pub fn parse(s: &str) -> Result<Backend, String> {
-        match s {
-            "steensgaard" => Ok(Backend::Steensgaard),
-            "andersen" => Ok(Backend::Andersen),
-            other => {
-                let valid: Vec<&str> = Backend::ALL.iter().map(|b| b.name()).collect();
-                Err(format!(
-                    "unknown alias backend `{other}` (valid backends: {})",
-                    valid.join(", ")
-                ))
-            }
-        }
-    }
-
-    /// The backend's canonical (CLI) name.
+    /// The backend's canonical name.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Steensgaard => "steensgaard",
@@ -84,84 +69,9 @@ impl Backend {
         }
     }
 
-    /// Cache-fingerprint domain tag. The Steensgaard default is untagged
-    /// so existing cache stores stay valid byte-for-byte; every other
-    /// backend separates its domain so switching backends can never
-    /// serve a stale hit.
-    pub fn domain_tag(self) -> &'static str {
-        match self {
-            Backend::Steensgaard => "",
-            Backend::Andersen => "alias=andersen;",
-        }
-    }
-
     /// Dense index, for per-backend memo tables.
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// The trait-object implementation of this backend.
-    pub fn dispatch(self) -> &'static dyn AliasBackend {
-        match self {
-            Backend::Steensgaard => &SteensgaardBackend,
-            Backend::Andersen => &AndersenBackend,
-        }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// An alias backend: turns a finished analysis state into the immutable
-/// [`FrozenLocs`] snapshot the checker consumes.
-///
-/// Implementations must uphold the frozen-snapshot invariant relative to
-/// the checker's consultation surface (see the module docs): every query
-/// the checker makes must answer consistently with *some* sound
-/// may-alias abstraction of the module, and `find` must be idempotent
-/// (`find(find(l)) == find(l)`).
-pub trait AliasBackend: Sync {
-    /// The backend's canonical name.
-    fn name(&self) -> &'static str;
-
-    /// Produces the frozen view. `pinned` lists locations that carry
-    /// checker-visible outcome state (restrict/confine `(ρ, ρ')` pairs,
-    /// restrict-parameter pointees); their classes must resolve exactly
-    /// as the live table does.
-    fn freeze(&self, m: &Module, state: &mut State, pinned: &[Loc]) -> FrozenLocs;
-}
-
-/// The identity backend: snapshot the unification classes verbatim.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SteensgaardBackend;
-
-impl AliasBackend for SteensgaardBackend {
-    fn name(&self) -> &'static str {
-        Backend::Steensgaard.name()
-    }
-
-    fn freeze(&self, _m: &Module, state: &mut State, _pinned: &[Loc]) -> FrozenLocs {
-        obs::count(obs::Counter::BackendSteensgaardFreezes, 1);
-        state.locs.freeze()
-    }
-}
-
-/// The refining backend: split unification classes along inclusion-based
-/// points-to boundaries where the split is invisible to the checker.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AndersenBackend;
-
-impl AliasBackend for AndersenBackend {
-    fn name(&self) -> &'static str {
-        Backend::Andersen.name()
-    }
-
-    fn freeze(&self, m: &Module, state: &mut State, pinned: &[Loc]) -> FrozenLocs {
-        obs::count(obs::Counter::BackendAndersenFreezes, 1);
-        refine(m, state, pinned)
     }
 }
 
@@ -256,8 +166,12 @@ fn dsu_union(parent: &mut [u32], a: u32, b: u32) {
     }
 }
 
-/// The Andersen refinement over a finished Steensgaard state.
-fn refine(m: &Module, state: &mut State, pinned: &[Loc]) -> FrozenLocs {
+/// The Andersen refinement over a finished Steensgaard state: the
+/// [`Backend::Andersen`] snapshot. `pinned` lists locations that carry
+/// checker-visible outcome state (restrict/confine `(ρ, ρ')` pairs,
+/// restrict-parameter pointees); their classes resolve exactly as the
+/// live table does.
+pub fn refine(m: &Module, state: &mut State, pinned: &[Loc]) -> FrozenLocs {
     let n = state.locs.len();
     let base = state.locs.freeze();
     let rep_of = |l: Loc| base.find(l).0;
@@ -395,52 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_names_and_errors() {
-        assert_eq!(Backend::parse("steensgaard"), Ok(Backend::Steensgaard));
-        assert_eq!(Backend::parse("andersen"), Ok(Backend::Andersen));
-        let err = Backend::parse("flowsensitive").unwrap_err();
-        assert!(
-            err.contains("steensgaard") && err.contains("andersen"),
-            "{err}"
-        );
-        assert_eq!(Backend::default(), Backend::Steensgaard);
-        assert_eq!(Backend::Andersen.to_string(), "andersen");
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.name()), Ok(b));
-            assert_eq!(b.dispatch().name(), b.name());
-        }
-    }
-
-    #[test]
-    fn domain_tags_keep_default_untagged() {
-        assert_eq!(Backend::Steensgaard.domain_tag(), "");
-        assert_eq!(Backend::Andersen.domain_tag(), "alias=andersen;");
-    }
-
-    #[test]
-    fn steensgaard_backend_is_identity_capture() {
-        let m = parse_module(
-            "m",
-            r#"
-            lock a;
-            lock b;
-            void f() { lock *x; lock *y; x = &a; y = &b; x = y; spin_lock(x); }
-            "#,
-        )
-        .unwrap();
-        let mut aliases = analyze(&m);
-        let direct = aliases.state.locs.freeze();
-        let via_backend = SteensgaardBackend.freeze(&m, &mut aliases.state, &[]);
-        assert_eq!(direct.len(), via_backend.len());
-        for i in 0..direct.len() as u32 {
-            let l = Loc(i);
-            assert_eq!(direct.find(l), via_backend.find(l));
-            assert_eq!(direct.multiplicity(l), via_backend.multiplicity(l));
-            assert_eq!(direct.is_tainted(l), via_backend.is_tainted(l));
-        }
-    }
-
-    #[test]
     fn andersen_splits_disjoint_lock_uses() {
         // Steensgaard merges a and b through the x = y copy in g, so the
         // locks in f weakly update; Andersen's directional flow keeps
@@ -470,7 +338,7 @@ mod tests {
         assert!(steens.same(la, lb), "unification conflates a and b");
         assert!(!steens.strong_updatable(la), "merged class is Many");
 
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[]);
+        let refined = refine(&m, &mut aliases.state, &[]);
         assert!(!refined.same(la, lb), "refinement splits a from b");
         assert!(
             refined.strong_updatable(la),
@@ -504,7 +372,7 @@ mod tests {
         let la = addressed(&aliases.state, "a");
         let lb = addressed(&aliases.state, "b");
         let steens = aliases.state.locs.freeze();
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[]);
+        let refined = refine(&m, &mut aliases.state, &[]);
         assert!(refined.same(la, lb), "tainted class must keep its shape");
         assert_eq!(refined.is_tainted(la), steens.is_tainted(la));
         assert_eq!(refined.multiplicity(la), steens.multiplicity(la));
@@ -531,7 +399,7 @@ mod tests {
         let la = addressed(&aliases.state, "a");
         let lb = addressed(&aliases.state, "b");
         let steens = aliases.state.locs.freeze();
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[la]);
+        let refined = refine(&m, &mut aliases.state, &[la]);
         assert!(refined.same(la, lb));
         assert_eq!(refined.find(la), steens.find(la));
         assert_eq!(refined.multiplicity(la), steens.multiplicity(la));
@@ -560,7 +428,7 @@ mod tests {
         let mut aliases = analyze(&m);
         let la = addressed(&aliases.state, "a");
         let lb = addressed(&aliases.state, "b");
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[]);
+        let refined = refine(&m, &mut aliases.state, &[]);
         assert!(refined.same(la, lb), "extern-reachable class stays merged");
     }
 
@@ -586,7 +454,7 @@ mod tests {
                 .expect("locks var");
             v.ty.pointee().expect("array lowers to Ref(elems)")
         };
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[]);
+        let refined = refine(&m, &mut aliases.state, &[]);
         assert_eq!(
             refined.multiplicity(refined.find(elems)),
             Multiplicity::Many

@@ -18,9 +18,9 @@
 //! * [`andersen`] — an inclusion-based (subset) points-to analysis over
 //!   the same AST, for precision comparisons (the direction the paper's
 //!   §8 leaves unexplored);
-//! * [`backend`] — the pluggable freeze seam: [`backend::Backend`]
-//!   selects whether the checker's frozen view is the verbatim
-//!   unification capture or the Andersen-refined split of it.
+//! * [`backend`] — the freeze step: [`backend::Backend`] names whether
+//!   the checker's frozen view is the verbatim unification capture or
+//!   the Andersen-refined split of it ([`backend::refine`]).
 //!
 //! # Example
 //!
@@ -43,7 +43,7 @@ pub mod steensgaard;
 pub mod ty;
 pub mod union_find;
 
-pub use backend::{AliasBackend, AndersenBackend, Backend, SteensgaardBackend};
+pub use backend::Backend;
 pub use frozen::FrozenLocs;
 pub use fx::{FxHashMap, FxHashSet, FxHasher, FxMap, FxSet};
 pub use loc::{Loc, LocTable};

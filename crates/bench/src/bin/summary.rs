@@ -21,8 +21,7 @@ fn main() {
     };
     init_obs(&opts);
     let seed = opts.seed_or_default();
-    let (results, mut bench) =
-        run_experiment_cached(seed, opts.jobs, opts.intra_jobs, opts.alias, &opts.cache);
+    let (results, mut bench) = run_experiment_cached(seed, opts.jobs, opts.intra_jobs, &opts.cache);
     match finish_obs(&opts) {
         Ok(report) => {
             bench.profile = report.trace;

@@ -56,10 +56,9 @@
 //! no entries: each persist folds the other's fresh entries into the
 //! union instead of clobbering the store wholesale.
 //!
-//! A legacy monolithic `store.jsonl` (the pre-shard layout) is migrated
-//! on load: its entries are folded in (shards win ties) and re-homed
-//! into shard files at the next persist, after which the legacy file is
-//! removed.
+//! A legacy monolithic `store.jsonl` (the pre-shard layout) is
+//! quarantined on load: only binaries older than the current
+//! [`ANALYSIS_VERSION`] wrote it, so none of its entries could hit.
 
 use crate::{ModuleResult, PhaseTimes};
 use localias_ast::fp;
@@ -86,7 +85,7 @@ pub const ANALYSIS_VERSION: u32 = localias_ast::fp::ANALYSIS_VERSION;
 ///
 /// Deliberately *frozen* at the `v2` literal across the v3 sharded store
 /// layout: sharding changed where entries live, not what they mean, so
-/// existing fingerprints (and a migrated legacy store) must keep hitting.
+/// existing fingerprints must keep hitting.
 const STORE_SCHEMA: &str = "localias-cache/v2";
 
 /// Schema identifier written in every shard file's header line.
@@ -99,8 +98,8 @@ const ANALYSIS_CONFIG: &str = "modes=no_confine,confine,all_strong";
 /// Seed-independent description of what one §8 precision entry covers.
 const PRECISION_CONFIG: &str = "analyses=steensgaard,andersen;metric=local-pair-aliasing";
 
-/// File name of the legacy monolithic store (pre-shard layout), migrated
-/// into shards on load and removed after the first successful persist.
+/// File name of the legacy monolithic store (pre-shard layout),
+/// quarantined on load.
 pub const STORE_FILE: &str = "store.jsonl";
 
 /// Default number of shard files per cache directory.
@@ -119,15 +118,9 @@ const LOCK_BASE_MS: u64 = 1;
 /// Backoff ceiling per sleep.
 const LOCK_CAP_MS: u64 = 50;
 
-/// Fingerprint of a module's raw source text (the pre-parse fast path),
-/// domain-separated by the alias backend. The Steensgaard default stays
-/// byte-identical to the historical untagged domain, so existing stores
-/// remain valid; any other backend appends its
-/// [`Backend::domain_tag`](localias_alias::Backend::domain_tag), so a
-/// backend switch against a warm cache can never serve a stale hit.
-pub fn source_fingerprint(source: &str, backend: localias_alias::Backend) -> u128 {
-    let domain = format!("raw;{}", backend.domain_tag());
-    fp::fingerprint(&domain, source)
+/// Fingerprint of a module's raw source text (the pre-parse fast path).
+pub fn source_fingerprint(source: &str) -> u128 {
+    fp::fingerprint("raw;", source)
 }
 
 /// Fingerprint of one §8 precision-sweep subject. Domain-separated from
@@ -140,15 +133,11 @@ pub fn precision_fingerprint(source: &str) -> u128 {
 }
 
 /// Canonical fingerprint of a parsed module: hash of its pretty-printed
-/// source, domain-separated by the analysis version, configuration, and
-/// alias backend (Steensgaard untagged — see [`source_fingerprint`]).
+/// source, domain-separated by the analysis version and configuration.
 /// Deliberately independent of the corpus seed and the module's name.
-pub fn module_fingerprint(m: &localias_ast::Module, backend: localias_alias::Backend) -> u128 {
+pub fn module_fingerprint(m: &localias_ast::Module) -> u128 {
     let canon = localias_ast::pretty::print_module(m);
-    let domain = format!(
-        "{STORE_SCHEMA};av{ANALYSIS_VERSION};{ANALYSIS_CONFIG};{}",
-        backend.domain_tag()
-    );
+    let domain = format!("{STORE_SCHEMA};av{ANALYSIS_VERSION};{ANALYSIS_CONFIG};");
     fp::fingerprint(&domain, &canon)
 }
 
@@ -331,9 +320,6 @@ pub struct AnalysisCache {
     by_raw: HashMap<u128, u128>,
     /// Home shards holding entries not yet persisted.
     dirty: HashSet<usize>,
-    /// Legacy monolithic store awaiting removal once its entries have
-    /// been re-homed into shards by a fully successful persist.
-    legacy: Option<PathBuf>,
     quarantined: usize,
     lock_retries: usize,
     lock_skips: usize,
@@ -350,9 +336,8 @@ impl AnalysisCache {
     /// Loads every shard under `dir` (lock-free), or starts empty when
     /// there are none. Corrupt, truncated, or version-mismatched shards
     /// are quarantined individually (renamed to `*.bad`) with a warning —
-    /// never an error, and never at the expense of the healthy shards. A
-    /// legacy monolithic `store.jsonl` is folded in and scheduled for
-    /// re-homing into shards (see the module docs).
+    /// never an error, and never at the expense of the healthy shards. So
+    /// is a legacy monolithic `store.jsonl` (see the module docs).
     pub fn load_sharded(dir: &Path, shards: usize) -> AnalysisCache {
         let t0 = Instant::now();
         let mut cache = AnalysisCache {
@@ -361,7 +346,6 @@ impl AnalysisCache {
             entries: HashMap::new(),
             by_raw: HashMap::new(),
             dirty: HashSet::new(),
-            legacy: None,
             quarantined: 0,
             lock_retries: 0,
             lock_skips: 0,
@@ -408,36 +392,15 @@ impl AnalysisCache {
             }
         }
 
-        // Legacy monolithic store: fold in (shards win ties) and mark the
-        // migrated entries' home shards dirty so the next persist re-homes
-        // them, after which the legacy file is removed.
         let legacy_path = dir.join(STORE_FILE);
-        if let Ok(text) = std::fs::read_to_string(&legacy_path) {
-            match parse_store(&text, &legacy_header_line()) {
-                Ok((entries, by_raw)) => {
-                    for (fp, v) in entries {
-                        cache.entries.entry(fp).or_insert(v);
-                    }
-                    for (raw, fp) in by_raw {
-                        if let std::collections::hash_map::Entry::Vacant(e) =
-                            cache.by_raw.entry(raw)
-                        {
-                            e.insert(fp);
-                            cache.dirty.insert(cache.shard_of(fp));
-                        }
-                    }
-                    cache.legacy = Some(legacy_path);
-                }
-                Err(why) => {
-                    obs::warn!(
-                        "localias-bench: warning: quarantining legacy cache store {} ({why})",
-                        legacy_path.display()
-                    );
-                    quarantine(&legacy_path);
-                    cache.quarantined += 1;
-                    obs::count(obs::Counter::CacheQuarantined, 1);
-                }
-            }
+        if legacy_path.is_file() {
+            obs::warn!(
+                "localias-bench: warning: quarantining legacy cache store {} (pre-shard layout)",
+                legacy_path.display()
+            );
+            quarantine(&legacy_path);
+            cache.quarantined += 1;
+            obs::count(obs::Counter::CacheQuarantined, 1);
         }
 
         cache.load_time = t0.elapsed();
@@ -545,7 +508,7 @@ impl AnalysisCache {
     /// backoff, never blocking the sweep); I/O errors are reported after
     /// every shard has been attempted.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        if self.dirty.is_empty() && self.legacy.is_none() {
+        if self.dirty.is_empty() {
             return Ok(());
         }
         let t0 = Instant::now();
@@ -593,14 +556,6 @@ impl AnalysisCache {
                         first_err = Some(e);
                     }
                 }
-            }
-        }
-
-        // Only once every migrated entry has a shard home is the legacy
-        // store redundant; a partial persist keeps it for the next run.
-        if self.dirty.is_empty() && first_err.is_none() {
-            if let Some(legacy) = self.legacy.take() {
-                let _ = std::fs::remove_file(legacy);
             }
         }
 
@@ -827,11 +782,6 @@ fn shard_header_line(i: usize) -> String {
     )
 }
 
-/// Header line of the legacy monolithic store (the pre-shard layout).
-fn legacy_header_line() -> String {
-    format!("{{\"schema\":\"{STORE_SCHEMA}\",\"analysis_version\":{ANALYSIS_VERSION}}}")
-}
-
 /// Best-effort extraction of `analysis_version` from a store file that
 /// failed the strict parse, to tell "older garbage" (quarantine) from
 /// "newer binary's store" (hands off).
@@ -961,30 +911,16 @@ mod tests {
             "// a comment\nint   g;\nvoid f()   {\n\n    g = 1;\n}\n",
         )
         .unwrap();
-        let steens = localias_alias::Backend::Steensgaard;
-        assert_eq!(
-            module_fingerprint(&a, steens),
-            module_fingerprint(&b, steens)
-        );
+        assert_eq!(module_fingerprint(&a), module_fingerprint(&b));
 
         let c = parse_module("c", "int g;\nvoid f() { g = 2; }\n").unwrap();
-        assert_ne!(
-            module_fingerprint(&a, steens),
-            module_fingerprint(&c, steens)
-        );
+        assert_ne!(module_fingerprint(&a), module_fingerprint(&c));
     }
 
     #[test]
     fn raw_fingerprint_is_exact() {
-        let steens = localias_alias::Backend::Steensgaard;
-        assert_eq!(
-            source_fingerprint("int g;", steens),
-            source_fingerprint("int g;", steens)
-        );
-        assert_ne!(
-            source_fingerprint("int g;", steens),
-            source_fingerprint("int g; ", steens)
-        );
+        assert_eq!(source_fingerprint("int g;"), source_fingerprint("int g;"));
+        assert_ne!(source_fingerprint("int g;"), source_fingerprint("int g; "));
     }
 
     #[test]
@@ -1053,7 +989,9 @@ mod tests {
         )
         .is_err());
         // The PR-2/PR-3 monolithic header on a shard file: rejected.
-        assert!(parse_store(&format!("{}\n", legacy_header_line()), &h).is_err());
+        let monolithic =
+            format!("{{\"schema\":\"{STORE_SCHEMA}\",\"analysis_version\":{ANALYSIS_VERSION}}}\n");
+        assert!(parse_store(&monolithic, &h).is_err());
         // The right schema under the wrong shard index: rejected.
         assert!(parse_store(&format!("{}\n", shard_header_line(4)), &h).is_err());
         assert!(parse_store("", &h).is_err());
@@ -1099,27 +1037,30 @@ mod tests {
 
     #[test]
     fn fingerprint_domains_never_collide() {
-        use localias_alias::Backend;
         let src = "int g;\nvoid f() { g = 1; }\n";
         assert_ne!(
-            source_fingerprint(src, Backend::Steensgaard),
+            source_fingerprint(src),
             precision_fingerprint(src),
             "precision keys are domain-separated from experiment keys"
         );
-        assert_ne!(
-            source_fingerprint(src, Backend::Steensgaard),
-            source_fingerprint(src, Backend::Andersen),
-            "per-backend raw keys are domain-separated"
-        );
         let m = parse_module("m", src).unwrap();
-        assert_ne!(
-            module_fingerprint(&m, Backend::Steensgaard),
-            module_fingerprint(&m, Backend::Andersen),
-            "per-backend canonical keys are domain-separated"
+        assert_ne!(source_fingerprint(src), module_fingerprint(&m));
+    }
+
+    /// Every store written so far is keyed by these two domains. Changing
+    /// either turns every existing cache cold; a deliberate analysis
+    /// change bumps [`ANALYSIS_VERSION`] and updates the pins with it.
+    #[test]
+    fn fingerprint_domains_are_pinned() {
+        let src = "int g;\nvoid f() { g = 1; }\n";
+        let m = parse_module("m", src).unwrap();
+        assert_eq!(
+            format!("{:032x}", source_fingerprint(src)),
+            "ca9df04843b2a2305c958049a9cfec54"
         );
-        assert_ne!(
-            source_fingerprint(src, Backend::Andersen),
-            precision_fingerprint(src),
+        assert_eq!(
+            format!("{:032x}", module_fingerprint(&m)),
+            "11fb3bef9bba3b6c5bee6cea54889b42"
         );
     }
 
@@ -1148,33 +1089,6 @@ mod tests {
             assert_eq!(c.resolve_raw(i + 2000), Some(i + 500));
         }
         assert_eq!((c.quarantined(), c.lock_skips()), (0, 0));
-    }
-
-    /// A legacy monolithic `store.jsonl` (the pre-shard layout, same
-    /// analysis version) must keep serving hits, get re-homed into
-    /// shards, and disappear after the first successful persist.
-    #[test]
-    fn legacy_store_is_migrated_into_shards() {
-        let dir = test_dir("legacy");
-        let mut store = format!("{}\n", legacy_header_line());
-        for i in 0..20u128 {
-            store.push_str(&entry_line(i, i + 100, &[i as u64, 2, 3, 4, 5, 6]));
-            store.push('\n');
-        }
-        std::fs::write(dir.join(STORE_FILE), store).unwrap();
-
-        let mut c = AnalysisCache::load(&dir);
-        assert_eq!(c.len(), 20, "legacy entries serve immediately");
-        assert_eq!(c.lookup_values(7), Some([7, 2, 3, 4, 5, 6]));
-        c.persist().unwrap();
-
-        assert!(
-            !dir.join(STORE_FILE).exists(),
-            "legacy store removed after re-homing"
-        );
-        let c2 = AnalysisCache::load(&dir);
-        assert_eq!(c2.len(), 20, "entries survive in shard files");
-        assert_eq!(c2.resolve_raw(107), Some(7));
     }
 
     /// A corrupt legacy store is quarantined (renamed `.bad`), never

@@ -2,7 +2,7 @@
 //!
 //! Compares an old and a new bench JSON document produced by the same
 //! harness family (`localias-bench-experiment`, `-intra`, `-watch`,
-//! `-alias`, `-scale`, or `-fuzz`) metric by metric: throughput, phase
+//! `-scale`, or `-fuzz`) metric by metric: throughput, phase
 //! and latency times, histogram percentiles, cache hit rates, and
 //! false-positive rates. Every metric carries a direction — lower is
 //! better for latencies, higher for throughput — and a relative change
@@ -380,39 +380,6 @@ fn extract_watch(doc: &Value) -> Vec<Extracted> {
     out
 }
 
-/// Alias-family metrics (`localias-bench-alias/v*`).
-fn extract_alias(doc: &Value) -> Vec<Extracted> {
-    use Direction::*;
-    let mut out = Vec::new();
-    if let Some(backends) = doc.get("backends").and_then(Value::as_arr) {
-        for b in backends {
-            let Some(name) = b.get("backend").and_then(Value::as_str) else {
-                continue;
-            };
-            push(
-                &mut out,
-                &format!("{name}.modules_per_sec"),
-                HigherIsBetter,
-                get_f64(b, &["modules_per_sec"]),
-            );
-            push(
-                &mut out,
-                &format!("{name}.wall_seconds"),
-                LowerIsBetter,
-                get_f64(b, &["wall_seconds"]),
-            );
-            push(
-                &mut out,
-                &format!("{name}.elimination_rate"),
-                HigherIsBetter,
-                get_f64(b, &["elimination_rate"]),
-            );
-        }
-    }
-    extract_hists(doc, &mut out);
-    out
-}
-
 /// Scale-family metrics (`localias-bench-scale/v*`), one pair per
 /// (modules, partitions) grid point.
 fn extract_scale(doc: &Value) -> Vec<Extracted> {
@@ -504,12 +471,11 @@ fn extract(family: &str, doc: &Value) -> Result<Vec<Extracted>, String> {
         "localias-bench-experiment" => Ok(extract_experiment(doc)),
         "localias-bench-intra" => Ok(extract_intra(doc)),
         "localias-bench-watch" => Ok(extract_watch(doc)),
-        "localias-bench-alias" => Ok(extract_alias(doc)),
         "localias-bench-scale" => Ok(extract_scale(doc)),
         "localias-bench-fuzz" => Ok(extract_fuzz(doc)),
         other => Err(format!(
             "unknown bench schema family {other:?} — bench-diff understands \
-             experiment, intra, watch, alias, scale, and fuzz artifacts"
+             experiment, intra, watch, scale, and fuzz artifacts"
         )),
     }
 }

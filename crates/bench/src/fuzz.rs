@@ -81,12 +81,14 @@ impl Default for FuzzConfig {
 #[derive(Debug, Clone, Default)]
 pub struct StaticMatrix(pub [[LockReport; 3]; 2]);
 
-/// The real checker under test: all three modes through both backends,
-/// sharing one base analysis per backend via [`SharedAnalysis`].
+/// The real checker under test: all three modes through both backends.
+/// One [`SharedAnalysis`] serves every cell — the base and confine
+/// analyses are backend-invariant, so switching backends only re-freezes.
 pub fn real_static_matrix(m: &Module) -> StaticMatrix {
     let mut out = StaticMatrix::default();
+    let mut shared = SharedAnalysis::new(m);
     for backend in Backend::ALL {
-        let mut shared = SharedAnalysis::new_with_backend(m, backend);
+        shared.set_backend(backend);
         for (mi, &mode) in MODES.iter().enumerate() {
             out.0[backend.index()][mi] = check_locks_shared(&mut shared, mode);
         }

@@ -22,7 +22,6 @@ pub use localias_obs::text_histogram;
 pub use merge::merge_partitions;
 
 use cache::CachedOutcome;
-use localias_alias::Backend;
 use localias_ast::Module;
 use localias_core::SharedAnalysis;
 use localias_corpus::GeneratedModule;
@@ -80,23 +79,21 @@ impl ModuleResult {
         let t0 = Instant::now();
         let parsed = m.parse();
         let parse = t0.elapsed();
-        Self::measure_parsed(&m.name, &parsed, parse, 1, Backend::Steensgaard)
+        Self::measure_parsed(&m.name, &parsed, parse, 1)
     }
 
     /// Runs the analysis pipelines on an already-parsed module (the cache
     /// parses first to canonicalize, so the miss path must not re-parse).
     /// `intra_jobs` fans each lock check out across the module's call-graph
     /// waves; reports are byte-identical for every value, so cached results
-    /// are valid whatever `intra_jobs` produced them. `backend` selects
-    /// the alias backend the frozen snapshots are produced through.
+    /// are valid whatever `intra_jobs` produced them.
     fn measure_parsed(
         name: &str,
         parsed: &Module,
         parse: Duration,
         intra_jobs: usize,
-        backend: Backend,
     ) -> (ModuleResult, PhaseTimes) {
-        let mut shared = SharedAnalysis::new_with_backend(parsed, backend);
+        let mut shared = SharedAnalysis::new(parsed);
         let t1 = Instant::now();
         let no_confine =
             check_locks_shared_jobs(&mut shared, Mode::NoConfine, intra_jobs).error_count();
@@ -452,7 +449,7 @@ pub fn measure_corpus_timed(
     jobs: usize,
     seed: u64,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
-    measure_corpus_cached(corpus, jobs, 1, seed, Backend::Steensgaard, None)
+    measure_corpus_cached(corpus, jobs, 1, seed, None)
 }
 
 /// What a worker learned about one module, beyond its result.
@@ -522,7 +519,6 @@ fn sweep_modules<M, I>(
     jobs: usize,
     intra_jobs: usize,
     seed: u64,
-    backend: Backend,
     mut cache: Option<&mut AnalysisCache>,
 ) -> (Vec<ModuleResult>, ExperimentBench)
 where
@@ -546,7 +542,7 @@ where
         let snapshot: Option<&AnalysisCache> = cache.as_deref();
         let work = |slot: usize, m: &GeneratedModule| -> SweepOutcome {
             if let Some(c) = snapshot {
-                let raw = cache::source_fingerprint(&m.source, backend);
+                let raw = cache::source_fingerprint(&m.source);
                 let served = c
                     .resolve_raw(raw)
                     .and_then(|fp| Some((fp, c.lookup_fp(fp)?)));
@@ -561,7 +557,7 @@ where
                 let t0 = Instant::now();
                 let parsed = m.parse();
                 let parse = t0.elapsed();
-                let fp = cache::module_fingerprint(&parsed, backend);
+                let fp = cache::module_fingerprint(&parsed);
                 if let Some(e) = c.lookup_fp(fp) {
                     return SweepOutcome {
                         slot,
@@ -570,8 +566,7 @@ where
                         note: CacheNote::CanonHit { fp, raw },
                     };
                 }
-                let (r, t) =
-                    ModuleResult::measure_parsed(&m.name, &parsed, parse, intra_jobs, backend);
+                let (r, t) = ModuleResult::measure_parsed(&m.name, &parsed, parse, intra_jobs);
                 SweepOutcome {
                     slot,
                     result: r,
@@ -582,8 +577,7 @@ where
                 let t0 = Instant::now();
                 let parsed = m.parse();
                 let parse = t0.elapsed();
-                let (r, t) =
-                    ModuleResult::measure_parsed(&m.name, &parsed, parse, intra_jobs, backend);
+                let (r, t) = ModuleResult::measure_parsed(&m.name, &parsed, parse, intra_jobs);
                 SweepOutcome {
                     slot,
                     result: r,
@@ -725,7 +719,6 @@ pub fn measure_corpus_cached(
     jobs: usize,
     intra_jobs: usize,
     seed: u64,
-    backend: Backend,
     cache: Option<&mut AnalysisCache>,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     sweep_modules(
@@ -734,7 +727,6 @@ pub fn measure_corpus_cached(
         jobs,
         intra_jobs,
         seed,
-        backend,
         cache,
     )
 }
@@ -749,7 +741,6 @@ pub fn measure_stream_cached(
     range: Range<usize>,
     jobs: usize,
     intra_jobs: usize,
-    backend: Backend,
     cache: Option<&mut AnalysisCache>,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     let base = range.start;
@@ -759,7 +750,6 @@ pub fn measure_stream_cached(
         jobs,
         intra_jobs,
         stream.seed(),
-        backend,
         cache,
     )
 }
@@ -773,17 +763,14 @@ pub fn measure_stream_with_cache(
     range: Range<usize>,
     jobs: usize,
     intra_jobs: usize,
-    backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     match policy {
-        CachePolicy::Disabled => {
-            measure_stream_cached(stream, range, jobs, intra_jobs, backend, None)
-        }
+        CachePolicy::Disabled => measure_stream_cached(stream, range, jobs, intra_jobs, None),
         CachePolicy::Dir { dir, shards } => {
             let mut c = AnalysisCache::load_sharded(dir, *shards);
             let (results, mut bench) =
-                measure_stream_cached(stream, range, jobs, intra_jobs, backend, Some(&mut c));
+                measure_stream_cached(stream, range, jobs, intra_jobs, Some(&mut c));
             if let Err(e) = c.persist() {
                 obs::warn!(
                     "localias-bench: warning: cache not fully written to {}: {e}",
@@ -809,17 +796,14 @@ pub fn measure_corpus_with_cache(
     jobs: usize,
     intra_jobs: usize,
     seed: u64,
-    backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     match policy {
-        CachePolicy::Disabled => {
-            measure_corpus_cached(corpus, jobs, intra_jobs, seed, backend, None)
-        }
+        CachePolicy::Disabled => measure_corpus_cached(corpus, jobs, intra_jobs, seed, None),
         CachePolicy::Dir { dir, shards } => {
             let mut c = AnalysisCache::load_sharded(dir, *shards);
             let (results, mut bench) =
-                measure_corpus_cached(corpus, jobs, intra_jobs, seed, backend, Some(&mut c));
+                measure_corpus_cached(corpus, jobs, intra_jobs, seed, Some(&mut c));
             if let Err(e) = c.persist() {
                 obs::warn!(
                     "localias-bench: warning: cache not fully written to {}: {e}",
@@ -932,12 +916,11 @@ pub fn run_experiment_cached(
     seed: u64,
     jobs: usize,
     intra_jobs: usize,
-    backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     let stream = CorpusStream::paper(seed);
     let range = 0..stream.len();
-    measure_stream_with_cache(&stream, range, jobs, intra_jobs, backend, policy)
+    measure_stream_with_cache(&stream, range, jobs, intra_jobs, policy)
 }
 
 /// Generates a synthetic program of roughly `n` statements with `k`
@@ -1145,7 +1128,7 @@ mod tests {
 
         let (results, mut bench) = {
             let corpus = localias_corpus::generate(1);
-            measure_corpus_cached(&corpus[..1], 1, 1, 1, Backend::Steensgaard, None)
+            measure_corpus_cached(&corpus[..1], 1, 1, 1, None)
         };
         assert_eq!(results.len(), 1);
         bench.profile = Some(trace);

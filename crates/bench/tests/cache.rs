@@ -4,8 +4,6 @@
 //! individually and degrade their modules to a cold run, concurrent
 //! writers sharing one store must lose no entries, and warm sweeps must
 //! stay deterministic across thread counts and seed changes.
-
-use localias_alias::Backend;
 use localias_bench::cache::shard_file_name;
 use localias_bench::{
     measure_corpus_cached, measure_corpus_timed, measure_corpus_with_cache, AnalysisCache,
@@ -78,8 +76,7 @@ fn cold_then_warm_is_byte_identical_and_fully_hits() {
     let policy = policy(&dir);
     let slice = slice();
 
-    let (cold, cold_bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (cold, cold_bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = cold_bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (0, PREFIX));
     assert_eq!(stats.shard_misses.iter().sum::<usize>(), PREFIX);
@@ -99,8 +96,7 @@ fn cold_then_warm_is_byte_identical_and_fully_hits() {
         "every module's entry lands in exactly one shard"
     );
 
-    let (warm, warm_bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (warm, warm_bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = warm_bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
     assert_eq!(stats.shard_hits.iter().sum::<usize>(), PREFIX);
@@ -121,12 +117,11 @@ fn perturbing_one_module_invalidates_exactly_one() {
     let policy = policy(&dir);
     let mut slice = slice();
 
-    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
 
     // A content change (new global) must invalidate exactly its module.
     slice[7].source.push_str("\nint cache_perturbation_g;\n");
-    let (warm, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (warm, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!(
         (stats.hits, stats.misses),
@@ -141,61 +136,24 @@ fn perturbing_one_module_invalidates_exactly_one() {
     assert_eq!(render(&cold), render(&warm));
 }
 
-/// Switching the alias backend against a warm cache must miss on every
-/// module, in both directions: the two backends key disjoint fingerprint
-/// domains, so a Steensgaard-warmed store can never serve an Andersen
-/// sweep a stale (coarser) result, or vice versa.
-#[test]
-fn switching_alias_backend_never_hits_warm_cache() {
-    let dir = cache_dir("backend-domain");
-    let policy = policy(&dir);
-    let slice = slice();
-
-    // Warm the store under the default (Steensgaard) backend.
-    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-
-    // Same modules under Andersen: all misses.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Andersen, &policy);
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (0, PREFIX),
-        "andersen sweep must not hit steensgaard-keyed entries"
-    );
-
-    // And the reverse direction, against the now two-domain store: both
-    // backends hit only their own entries.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Andersen, &policy);
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
-}
-
 #[test]
 fn comment_only_change_hits_via_canonical_fingerprint() {
     let dir = cache_dir("comment");
     let policy = policy(&dir);
     let mut slice = slice();
 
-    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
 
     // Comments normalize away in the canonical form: raw fingerprint
     // misses, canonical fingerprint hits, no re-analysis.
     slice[3].source.push_str("\n// a trailing comment\n");
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (_, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
 
     // The new raw fingerprint was aliased: the next sweep takes the
     // no-parse fast path for every module again.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (_, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
 }
@@ -208,15 +166,13 @@ fn corrupt_shards_fall_back_to_cold_run() {
     let policy = policy(&dir);
     let slice = slice();
 
-    let (cold, _) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (cold, _) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let shards = shard_paths(&dir);
     for p in &shards {
         std::fs::write(p, b"garbage\x00not a store\n").unwrap();
     }
 
-    let (recovered, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (recovered, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!(
         (stats.hits, stats.misses),
@@ -236,8 +192,7 @@ fn corrupt_shards_fall_back_to_cold_run() {
     assert_eq!(render(&cold), render(&recovered));
 
     // The rewrite healed the store.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (_, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
     assert_eq!(stats.quarantined, 0);
@@ -252,7 +207,7 @@ fn truncated_shard_quarantines_only_itself() {
     let policy = policy(&dir);
     let slice = slice();
 
-    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let shards = shard_paths(&dir);
     assert!(shards.len() > 1, "need multiple shards for this test");
     let victim = &shards[0];
@@ -261,8 +216,7 @@ fn truncated_shard_quarantines_only_itself() {
     // Cut mid-entry (also severing the trailing newline).
     std::fs::write(victim, &full[..full.len() - 3]).unwrap();
 
-    let (results, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (results, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!(
         (stats.hits, stats.misses),
@@ -274,8 +228,7 @@ fn truncated_shard_quarantines_only_itself() {
     assert_eq!(render(&cold), render(&results));
 
     // The re-analysis healed the quarantined shard.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (_, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
 }
@@ -286,7 +239,7 @@ fn version_mismatched_shards_are_discarded() {
     let policy = policy(&dir);
     let slice = slice();
 
-    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     for p in shard_paths(&dir) {
         let text = std::fs::read_to_string(&p).unwrap();
         let bumped = text.replacen(
@@ -298,8 +251,7 @@ fn version_mismatched_shards_are_discarded() {
         std::fs::write(&p, bumped).unwrap();
     }
 
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (_, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (0, PREFIX));
     assert!(stats.quarantined > 0);
@@ -330,8 +282,7 @@ fn stale_v1_store_is_discarded_whole() {
     let legacy = dir.join(localias_bench::cache::STORE_FILE);
     std::fs::write(&legacy, store).unwrap();
 
-    let (results, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (results, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!(
         (stats.hits, stats.misses),
@@ -343,8 +294,7 @@ fn stale_v1_store_is_discarded_whole() {
     assert_eq!(render(&cold), render(&results));
 
     // The sweep replaced the stale store with a current sharded one.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (_, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
 }
@@ -360,22 +310,14 @@ fn single_shard_store_round_trips_across_shard_counts() {
         shards: 1,
     };
 
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &one);
+    let (_, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &one);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!(stats.shards, 1);
     assert_eq!(stats.shard_misses, vec![PREFIX]);
     assert_eq!(shard_paths(&dir), vec![dir.join(shard_file_name(0))]);
 
     // Default shard count loads the single-shard layout without loss.
-    let (_, bench) = measure_corpus_with_cache(
-        &slice,
-        1,
-        1,
-        DEFAULT_SEED,
-        Backend::Steensgaard,
-        &policy(&dir),
-    );
+    let (_, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy(&dir));
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
 }
@@ -386,12 +328,10 @@ fn warm_sweep_is_deterministic_across_thread_counts() {
     let policy = policy(&dir);
     let slice = slice();
 
-    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
 
-    let (warm1, b1) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    let (warm8, b8) =
-        measure_corpus_with_cache(&slice, 8, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let (warm1, b1) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy);
+    let (warm8, b8) = measure_corpus_with_cache(&slice, 8, 1, DEFAULT_SEED, &policy);
     assert_eq!(render(&warm1), render(&warm8));
     assert_eq!(b1.cache.unwrap().hits, PREFIX);
     assert_eq!(b8.cache.unwrap().hits, PREFIX);
@@ -406,7 +346,6 @@ fn warm_sweep_is_deterministic_across_thread_counts() {
         1,
         1,
         DEFAULT_SEED,
-        Backend::Steensgaard,
         Some(&mut AnalysisCache::load(&dir)),
     );
     let (mixed8, _) = measure_corpus_cached(
@@ -414,7 +353,6 @@ fn warm_sweep_is_deterministic_across_thread_counts() {
         8,
         1,
         DEFAULT_SEED,
-        Backend::Steensgaard,
         Some(&mut AnalysisCache::load(&dir)),
     );
     assert_eq!(render(&mixed1), render(&mixed8));
@@ -429,18 +367,11 @@ fn perturbed_seed_reports_match_a_cold_run() {
     let policy = policy(&dir);
 
     let slice_a = slice();
-    let _ = measure_corpus_with_cache(&slice_a, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let _ = measure_corpus_with_cache(&slice_a, 1, 1, DEFAULT_SEED, &policy);
 
     let corpus_b = generate(DEFAULT_SEED + 1);
     let slice_b = corpus_b[..PREFIX].to_vec();
-    let (via_cache, _) = measure_corpus_with_cache(
-        &slice_b,
-        1,
-        1,
-        DEFAULT_SEED + 1,
-        Backend::Steensgaard,
-        &policy,
-    );
+    let (via_cache, _) = measure_corpus_with_cache(&slice_b, 1, 1, DEFAULT_SEED + 1, &policy);
     let (cold, _) = measure_corpus_timed(&slice_b, 1, DEFAULT_SEED + 1);
     assert_eq!(render(&cold), render(&via_cache));
 }
@@ -486,14 +417,7 @@ fn concurrent_child() {
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
 
-    let (_, bench) = measure_corpus_cached(
-        &slice,
-        1,
-        1,
-        DEFAULT_SEED,
-        Backend::Steensgaard,
-        Some(&mut cache),
-    );
+    let (_, bench) = measure_corpus_cached(&slice, 1, 1, DEFAULT_SEED, Some(&mut cache));
     assert_eq!(bench.cache.unwrap().misses, hi - lo);
     cache.persist().expect("child persist");
 }
@@ -526,14 +450,7 @@ fn concurrent_disjoint_sweeps_lose_no_entries() {
     // The union survived: a warm sweep over the full slice serves every
     // module from the store and re-analyzes nothing.
     let slice = slice();
-    let (warm, bench) = measure_corpus_with_cache(
-        &slice,
-        1,
-        1,
-        DEFAULT_SEED,
-        Backend::Steensgaard,
-        &policy(&dir),
-    );
+    let (warm, bench) = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, &policy(&dir));
     let stats = bench.cache.expect("cache stats present");
     assert_eq!(
         (stats.hits, stats.misses),

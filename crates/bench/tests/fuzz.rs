@@ -65,6 +65,54 @@ fn real_checker_survives_a_fuzz_sweep() {
     }
 }
 
+/// The reference [`real_static_matrix`] replaced: a fresh
+/// `SharedAnalysis` per backend, so no analysis is shared across rows.
+fn static_matrix_per_backend(m: &Module) -> Vec<[localias_cqual::LockReport; 3]> {
+    use localias_core::SharedAnalysis;
+    use localias_cqual::{check_locks_shared, MODES};
+    localias_alias::Backend::ALL
+        .into_iter()
+        .map(|backend| {
+            let mut shared = SharedAnalysis::new(m);
+            shared.set_backend(backend);
+            MODES.map(|mode| check_locks_shared(&mut shared, mode))
+        })
+        .collect()
+}
+
+/// The matrix the fuzzer checks against comes from one shared analysis
+/// pair whose backend is switched in place. It must equal a fresh
+/// analysis per backend on every module of a seeded fuzz corpus, and on
+/// a module where the two backends' reports differ.
+#[test]
+fn static_matrix_matches_fresh_analyses_per_backend() {
+    for i in 0..240 {
+        let fm = fuzz_module(42, i);
+        let m = parse_module(&fm.name, &fm.source).expect("fuzz modules parse");
+        assert_eq!(
+            real_static_matrix(&m).0.to_vec(),
+            static_matrix_per_backend(&m),
+            "module {i}:\n{}",
+            fm.source
+        );
+    }
+
+    // The fuzz corpus gives identical reports under both backends, so it
+    // cannot tell whether each row used its own backend. Here `g`'s copy
+    // makes unification conflate `a` and `b`; inclusion keeps them apart.
+    let m = parse_module(
+        "split",
+        "lock a;\nlock b;\nextern void work();\n\
+         void f() { spin_lock(&a); work(); spin_unlock(&a); \
+         spin_lock(&b); work(); spin_unlock(&b); }\n\
+         void g() { lock *x; lock *y; x = &a; y = &b; x = y; }\n",
+    )
+    .unwrap();
+    let reference = static_matrix_per_backend(&m);
+    assert_ne!(reference[0], reference[1], "the backends disagree here");
+    assert_eq!(real_static_matrix(&m).0.to_vec(), reference);
+}
+
 /// A checker that sees nothing: every report empty under every mode
 /// and backend. The fuzzer must convict it.
 fn blind_checker(_m: &Module) -> StaticMatrix {

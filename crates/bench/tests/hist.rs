@@ -15,8 +15,6 @@
 //!
 //! Every test holds [`obs::test_lock`] across enable → work → drain —
 //! the histogram registry is process-global.
-
-use localias_alias::Backend;
 use localias_bench::CachePolicy;
 use localias_bench::{json, json_hists, measure_corpus_cached, measure_corpus_with_cache};
 use localias_corpus::{generate, GeneratedModule, DEFAULT_SEED};
@@ -38,7 +36,7 @@ fn slice() -> Vec<GeneratedModule> {
 fn hist_sweep(slice: &[GeneratedModule], jobs: usize, intra: usize) -> Vec<obs::HistSnapshot> {
     obs::enable_hists();
     let _ = obs::drain();
-    let _ = measure_corpus_cached(slice, jobs, intra, DEFAULT_SEED, Backend::Steensgaard, None);
+    let _ = measure_corpus_cached(slice, jobs, intra, DEFAULT_SEED, None);
     let trace = obs::drain();
     obs::disable_hists();
     trace.hists
@@ -191,7 +189,7 @@ fn cached_sweeps_record_shard_load_and_persist_latencies() {
     let _l = obs::test_lock();
     obs::enable_hists();
     let _ = obs::drain();
-    let _ = measure_corpus_with_cache(&slice, 2, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let _ = measure_corpus_with_cache(&slice, 2, 1, DEFAULT_SEED, &policy);
     let cold = obs::drain();
     obs::disable_hists();
     let persist = cold
@@ -201,7 +199,7 @@ fn cached_sweeps_record_shard_load_and_persist_latencies() {
 
     obs::enable_hists();
     let _ = obs::drain();
-    let _ = measure_corpus_with_cache(&slice, 2, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let _ = measure_corpus_with_cache(&slice, 2, 1, DEFAULT_SEED, &policy);
     let warm = obs::drain();
     obs::disable_hists();
     let load = warm

@@ -9,8 +9,6 @@
 //! Every test holds [`obs::test_lock`] across enable → work → drain —
 //! the counters are process-global, so concurrently running tests that
 //! enable collection would observe each other.
-
-use localias_alias::Backend;
 use localias_bench::{measure_corpus_cached, ModuleResult};
 use localias_corpus::{generate, mega_module, DEFAULT_SEED};
 use localias_obs as obs;
@@ -28,7 +26,7 @@ fn traced_sweep(
 ) -> obs::Trace {
     obs::enable_all();
     let _ = obs::drain();
-    let _ = measure_corpus_cached(slice, jobs, intra, DEFAULT_SEED, Backend::Steensgaard, None);
+    let _ = measure_corpus_cached(slice, jobs, intra, DEFAULT_SEED, None);
     let trace = obs::drain();
     obs::disable_metrics();
     obs::disable_spans();

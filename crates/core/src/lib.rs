@@ -165,8 +165,17 @@ impl Analysis {
     /// inclusion-based points-to analysis proves independent, never
     /// touching classes that hold a [`Analysis::pinned_locs`] key.
     pub fn freeze_with(&mut self, backend: Backend, m: &Module) -> FrozenLocs {
-        let pinned = self.pinned_locs(m);
-        backend.dispatch().freeze(m, &mut self.state, &pinned)
+        match backend {
+            Backend::Steensgaard => {
+                obs::count(obs::Counter::BackendSteensgaardFreezes, 1);
+                self.freeze()
+            }
+            Backend::Andersen => {
+                obs::count(obs::Counter::BackendAndersenFreezes, 1);
+                let pinned = self.pinned_locs(m);
+                localias_alias::backend::refine(m, &mut self.state, &pinned)
+            }
+        }
     }
 
     /// `true` if every explicit annotation checked and the module has no
@@ -336,14 +345,9 @@ impl<'m> SharedAnalysis<'m> {
     /// Creates an empty cache for `module` with the default
     /// ([`Backend::Steensgaard`]) alias backend; nothing is computed yet.
     pub fn new(module: &'m Module) -> Self {
-        Self::new_with_backend(module, Backend::Steensgaard)
-    }
-
-    /// Creates an empty cache for `module` freezing through `backend`.
-    pub fn new_with_backend(module: &'m Module, backend: Backend) -> Self {
         SharedAnalysis {
             module,
-            backend,
+            backend: Backend::Steensgaard,
             base: None,
             confine: None,
             base_frozen: [None, None],
@@ -1326,7 +1330,8 @@ mod tests {
         shared.set_backend(Backend::Steensgaard);
         assert_eq!(&steens, shared.base_frozen().1);
         // Confine mode runs end-to-end under Andersen too.
-        let mut shared2 = SharedAnalysis::new_with_backend(&m, Backend::Andersen);
+        let mut shared2 = SharedAnalysis::new(&m);
+        shared2.set_backend(Backend::Andersen);
         let ((_, bf), (_, cf)) = shared2.both_frozen();
         assert!(!bf.is_empty());
         assert!(!cf.is_empty());

@@ -366,7 +366,7 @@ mod tests {
     }
 
     /// The Steensgaard backend selected explicitly through
-    /// [`SharedAnalysis::new_with_backend`](localias_core::SharedAnalysis::new_with_backend)
+    /// [`SharedAnalysis::set_backend`](localias_core::SharedAnalysis::set_backend)
     /// is byte-identical to the historical default path, across all three
     /// modes and several worker counts.
     #[test]
@@ -385,10 +385,8 @@ mod tests {
         for mode in [Mode::NoConfine, Mode::Confine, Mode::AllStrong] {
             let base = check_locks(&m, mode);
             for jobs in [1, 2, 8] {
-                let mut shared = localias_core::SharedAnalysis::new_with_backend(
-                    &m,
-                    localias_alias::Backend::Steensgaard,
-                );
+                let mut shared = localias_core::SharedAnalysis::new(&m);
+                shared.set_backend(localias_alias::Backend::Steensgaard);
                 let got = check_locks_shared_jobs(&mut shared, mode, jobs);
                 assert_eq!(got, base, "{mode:?} jobs={jobs}");
             }
@@ -422,17 +420,13 @@ mod tests {
         )
         .expect("parse");
         let steens = {
-            let mut shared = localias_core::SharedAnalysis::new_with_backend(
-                &m,
-                localias_alias::Backend::Steensgaard,
-            );
+            let mut shared = localias_core::SharedAnalysis::new(&m);
+            shared.set_backend(localias_alias::Backend::Steensgaard);
             check_locks_shared_jobs(&mut shared, Mode::NoConfine, 1)
         };
         let anders = {
-            let mut shared = localias_core::SharedAnalysis::new_with_backend(
-                &m,
-                localias_alias::Backend::Andersen,
-            );
+            let mut shared = localias_core::SharedAnalysis::new(&m);
+            shared.set_backend(localias_alias::Backend::Andersen);
             check_locks_shared_jobs(&mut shared, Mode::NoConfine, 1)
         };
         assert!(
@@ -447,10 +441,8 @@ mod tests {
         );
         // The refined classes must not break the other checker modes.
         for mode in [Mode::Confine, Mode::AllStrong] {
-            let mut shared = localias_core::SharedAnalysis::new_with_backend(
-                &m,
-                localias_alias::Backend::Andersen,
-            );
+            let mut shared = localias_core::SharedAnalysis::new(&m);
+            shared.set_backend(localias_alias::Backend::Andersen);
             let _ = check_locks_shared_jobs(&mut shared, mode, 1);
         }
     }

@@ -1065,6 +1065,21 @@ impl IncrementalSession {
             }
         }
 
+        // Every local of the re-analysis (the previous version's state,
+        // this version's analyses, the parsed module) is dropped when it
+        // returns, so the stopwatch covers their deallocation too.
+        let (reports, mut stats) = self.reanalyze(source, raw_fp)?;
+        stats.total_seconds = t_all.elapsed().as_secs_f64();
+        Ok(IncrOutcome { reports, stats })
+    }
+
+    /// Analyzes a version whose source fingerprint `raw_fp` differs from
+    /// the previous version's, leaving `total_seconds` for the caller.
+    fn reanalyze(
+        &mut self,
+        source: &str,
+        raw_fp: u128,
+    ) -> Result<([LockReport; 3], IncrStats), ParseError> {
         let t_parse = Instant::now();
         let module = parse_module(&self.name, source)?;
         let parse_seconds = t_parse.elapsed().as_secs_f64();
@@ -1255,9 +1270,7 @@ impl IncrementalSession {
             modes: [r0.cache, r1.cache, r2.cache],
             reports: [r0.report, r1.report, r2.report],
         });
-
-        stats.total_seconds = t_all.elapsed().as_secs_f64();
-        Ok(IncrOutcome { reports, stats })
+        Ok((reports, stats))
     }
 
     /// The module name the session analyzes under.

@@ -103,7 +103,6 @@ fn main() -> ExitCode {
                  corpus  <dir> [seed]       write the synthetic driver corpus to <dir>\n\
                  experiment [seed] [--jobs N] [--intra-jobs N] [--cache DIR | --no-cache]\n\
                  \x20                          [--cache-shards N] [--modules N] [--partition I/N]\n\
-                 \x20                          [--alias steensgaard|andersen]\n\
                  \x20                          [--bench-out FILE] [--trace-out FILE]\n\
                  \x20                          [--trace-chrome FILE] [--profile] [--quiet]\n\
                  \x20                          run the full Section 7 experiment in parallel,\n\
@@ -114,10 +113,7 @@ fn main() -> ExitCode {
                  \x20                          --modules N streams an N-module corpus instead\n\
                  \x20                          of the paper's 589; --partition I/N sweeps only\n\
                  \x20                          slice I of N (run one process per slice over a\n\
-                 \x20                          shared cache, then bench-merge the reports);\n\
-                 \x20                          --alias selects the alias backend (steensgaard\n\
-                 \x20                          is the paper's default; andersen refines the\n\
-                 \x20                          frozen classes and keys its own cache domain)\n\
+                 \x20                          shared cache, then bench-merge the reports)\n\
                  bench-merge <part.json>... [--out FILE]\n\
                  \x20                          union per-partition --bench-out reports from a\n\
                  \x20                          --partition i/N sweep into one artifact equal to\n\
@@ -549,7 +545,6 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
         range,
         opts.jobs,
         opts.intra_jobs,
-        opts.alias,
         &opts.cache,
     );
     if let Some((index, count)) = opts.partition {

@@ -13,11 +13,6 @@
 #                                cold/edit/no-op latencies + check-phase
 #                                speedup over from-scratch analysis
 #                                (schema localias-bench-watch/v2)
-#   BENCH_alias.json             alias-backend precision/perf frontier:
-#                                both backends over the calibrated
-#                                corpus, categories + error totals +
-#                                wall time side by side (schema
-#                                localias-bench-alias/v2)
 #   BENCH_fuzz.json              differential-fuzzing throughput + FP
 #                                rates (schema localias-bench-fuzz/v2)
 #   BENCH_scale.json             modules/sec + peak RSS vs corpus size
@@ -100,18 +95,6 @@ cat BENCH_intra.json
 echo
 echo "wrote $(pwd)/BENCH_watch.json (incremental recheck):"
 cat BENCH_watch.json
-
-# Alias-backend frontier: the full experiment once per backend, printed
-# side by side and asserted against the paper's 352/85/138/14 baseline
-# for the Steensgaard column. Cold for both backends (fresh cache dir)
-# so the wall-time comparison is fair.
-rm -rf "$CACHE-alias"
-./target/release/alias --cache "$CACHE-alias" --bench-out BENCH_alias.json
-rm -rf "$CACHE-alias"
-
-echo
-echo "wrote $(pwd)/BENCH_alias.json (backend frontier):"
-cat BENCH_alias.json
 
 # Differential fuzzing: 2,000 generated modules executed under the
 # interpreter oracle and checked under all three modes x both

@@ -42,6 +42,12 @@ cargo test -q -p localias-bench --test hist \
 cargo test -q -p localias-bench --test hist \
     equal_multisets_render_byte_identical_hist_blocks >/dev/null
 
+# The fuzzer checks every module with one analysis pair whose alias
+# backend is switched in place; it must agree with a fresh analysis per
+# backend on every module of a seeded fuzz corpus.
+cargo test -q -p localias-bench --test fuzz \
+    static_matrix_matches_fresh_analyses_per_backend >/dev/null
+
 # Cold pass primes a throwaway cache; warm pass must hit on all 589
 # modules and miss on none.
 CACHE=$(mktemp -d)
@@ -284,27 +290,6 @@ grep -q '"partition": null' "$SCALE/merged.json" || {
     exit 1
 }
 
-# Alias-backend smoke: the Andersen backend must run the full three-mode
-# sweep end-to-end, emit a valid trace, and key its own cache domain —
-# a cache warmed by the default (Steensgaard) sweep serves it zero hits.
-ALIAS="$CACHE/alias"
-mkdir -p "$ALIAS"
-./target/release/localias experiment 7 --modules 80 \
-    --cache "$ALIAS/cache" --quiet >/dev/null
-./target/release/localias experiment 7 --modules 80 --alias andersen \
-    --cache "$ALIAS/cache" --bench-out "$ALIAS/andersen.json" \
-    --trace-out "$ALIAS/andersen-trace.jsonl" --quiet >/dev/null
-grep -q '"misses": 80' "$ALIAS/andersen.json" || {
-    echo "check.sh: andersen sweep hit the steensgaard cache domain:" >&2
-    cat "$ALIAS/andersen.json" >&2
-    exit 1
-}
-./target/release/localias tracecheck "$ALIAS/andersen-trace.jsonl" >/dev/null || {
-    echo "check.sh: andersen sweep emitted an invalid trace" >&2
-    cat "$ALIAS/andersen-trace.jsonl" >&2
-    exit 1
-}
-
 # Differential-fuzzing smoke: a seeded 500-module sweep with the
 # interpreter as ground-truth oracle must find zero soundness
 # divergences across all three modes x both alias backends — the repro
@@ -323,4 +308,4 @@ if [ -n "$(ls -A "$FUZZ")" ]; then
     exit 1
 fi
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist gates, warm-cache sweep, crash recovery, mega smoke, watch-determinism smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, andersen backend smoke, and fuzz smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + fuzz-matrix gates, warm-cache sweep, crash recovery, mega smoke, watch-determinism smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, and fuzz smoke all passed"
